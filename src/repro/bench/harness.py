@@ -225,50 +225,21 @@ def make_world(
         callee_site = network.add_site(CALLEE)
         transports: List[Transport] = []
         caller_net = callee_net = network
-    elif transport == TCP:
-        # Three real stacks on localhost sharing one stats collector
-        # and one peer table (updated in place as listeners bind).
-        # Localhost loses nothing, so a patient retry schedule keeps
-        # large eager transfers from timing out into retransmissions
-        # that would skew the message/byte counters under measurement.
+    elif transport in (TCP, SHM):
+        # Three real stacks sharing one stats collector and one peer
+        # table (updated in place as listeners come up: tcp addresses,
+        # or shm listener segment names).  Neither carrier loses a
+        # frame in one process, so a patient retry schedule keeps large
+        # eager transfers from timing out into retransmissions that
+        # would skew the message/byte counters under measurement.
         patient = RetryPolicy(
             timeout=5.0, backoff=2.0, max_timeout=30.0, max_attempts=4
         )
         peers: dict = {}
+        link = TcpTransport if transport == TCP else ShmTransport
         transports = [
-            TcpTransport(
-                site_id,
-                stats=stats,
-                cost_model=model,
-                peers=peers,
-                retry=patient,
-            )
-            for site_id in (NAME_SERVER, CALLER, CALLEE)
-        ]
-        for stack in transports:
-            peers[stack.site_id] = stack.start()
-        ns_net, caller_net, callee_net = transports
-        network = caller_net
-        ns_site = ns_net.endpoint
-        caller_site = caller_net.endpoint
-        callee_site = callee_net.endpoint
-    elif transport == SHM:
-        # Same three-stack shape as TCP, but over shared-memory rings:
-        # the peer table maps site ids to listener segment names.  The
-        # rings never lose a frame, so the patient schedule again keeps
-        # the counters free of spurious retransmissions.
-        patient = RetryPolicy(
-            timeout=5.0, backoff=2.0, max_timeout=30.0, max_attempts=4
-        )
-        peers = {}
-        transports = [
-            ShmTransport(
-                site_id,
-                stats=stats,
-                cost_model=model,
-                peers=peers,
-                retry=patient,
-            )
+            link(site_id, stats=stats, cost_model=model, peers=peers,
+                 retry=patient)
             for site_id in (NAME_SERVER, CALLER, CALLEE)
         ]
         for stack in transports:

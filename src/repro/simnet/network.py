@@ -39,6 +39,7 @@ from repro.transport.base import (
     Transport,
     TransportError as _BaseTransportError,
 )
+from repro.transport.exchange import FaultInjector
 
 __all__ = [
     "Handler",
@@ -76,9 +77,11 @@ class Site(Endpoint):
         site_id: str,
         network: "Network",
         reply_cache_limit: int = _REPLY_CACHE_LIMIT,
+        faults: Optional[FaultInjector] = None,
     ) -> None:
         super().__init__(site_id, reply_cache_limit=reply_cache_limit)
         self.network = network
+        self.faults = faults
 
     def send(
         self,
@@ -122,18 +125,28 @@ class Network(Transport):
         self._rng = random.Random(loss_seed)
         self._sites: Dict[str, Site] = {}
         # Deterministic crash injection (the crash-matrix tests): a
-        # crashed site neither sends nor receives, and a crash plan
-        # kills a site at the Nth frame of a given kind it sends or
-        # receives.
+        # crashed site neither sends nor receives.
         self._crashed: set = set()
-        self._crash_plans: Dict[tuple, int] = {}
-        self._frame_counts: Dict[tuple, int] = {}
 
-    def add_site(self, site_id: str) -> Site:
-        """Create and register a new endpoint."""
+    def add_site(
+        self, site_id: str, faults: Optional[FaultInjector] = None
+    ) -> Site:
+        """Create and register a new endpoint.
+
+        ``faults`` is the same :class:`FaultInjector` the real carriers
+        take (``crash-send=KIND:N`` / ``crash-recv=KIND:N`` clauses),
+        so the crash matrix runs one fault spec on every carrier.  A
+        planned crash marks the site crashed; only the crash clauses
+        apply here (losses come from the network's ``loss_rate``).
+        """
         if site_id in self._sites:
             raise NetworkError(f"duplicate site id {site_id!r}")
-        site = Site(site_id, self, reply_cache_limit=self.reply_cache_limit)
+        site = Site(
+            site_id,
+            self,
+            reply_cache_limit=self.reply_cache_limit,
+            faults=faults,
+        )
         self._sites[site_id] = site
         return site
 
@@ -160,33 +173,6 @@ class Network(Transport):
     def is_crashed(self, site_id: str) -> bool:
         """Whether ``site_id`` has crashed."""
         return site_id in self._crashed
-
-    def plan_crash(
-        self, site_id: str, on: str, kind: MessageKind, nth: int
-    ) -> None:
-        """Kill ``site_id`` at its ``nth`` frame of ``kind``.
-
-        ``on`` is ``"send"`` (the site dies right after transmitting
-        the frame — delivered, but the reply is lost with the sender)
-        or ``"recv"`` (the site dies before processing the frame).
-        Mirrors the TCP transport's ``crash-send=KIND:N`` /
-        ``crash-recv=KIND:N`` fault clauses so the crash matrix runs
-        identically on both transports.
-        """
-        if on not in ("send", "recv"):
-            raise NetworkError(f"bad crash plan side {on!r}")
-        if nth < 1:
-            raise NetworkError(f"bad crash plan ordinal {nth!r}")
-        self._crash_plans[(site_id, on, kind)] = nth
-
-    def _count_frame(self, site_id: str, on: str, kind: MessageKind) -> bool:
-        """Count one frame against the crash plan; True when it fires."""
-        planned = self._crash_plans.get((site_id, on, kind))
-        if planned is None:
-            return False
-        key = (site_id, on, kind)
-        self._frame_counts[key] = self._frame_counts.get(key, 0) + 1
-        return self._frame_counts[key] == planned
 
     def send(
         self,
@@ -224,7 +210,9 @@ class Network(Transport):
                 f"destination site {dst!r} has crashed"
             )
         source = self._sites[src]
-        if self._count_frame(dst, "recv", kind):
+        if destination.faults is not None and (
+            destination.faults.crash_on_receive(kind)
+        ):
             # The receiver dies before processing this frame — its
             # clock never observes the sender's (no delivery merge).
             message = Message(src=src, dst=dst, kind=kind, payload=payload)
@@ -234,7 +222,9 @@ class Network(Transport):
                 f"{kind} exchange {src!r}->{dst!r} failed: "
                 f"destination site {dst!r} crashed on receive"
             )
-        if self._count_frame(src, "send", kind):
+        if source.faults is not None and (
+            source.faults.crash_after_send(kind)
+        ):
             # The sender dies right after the frame leaves: the
             # receiver processes it, but the reply is lost with the
             # sender (one legal interleaving of a mid-exchange crash).

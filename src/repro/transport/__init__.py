@@ -4,19 +4,23 @@ The runtimes in :mod:`repro.rpc` and :mod:`repro.smartrpc` speak to
 their peers through a deliberately narrow waist — a
 :class:`~repro.transport.base.Transport` owning the shared clock, cost
 model and statistics, plus one :class:`~repro.transport.base.Endpoint`
-per address space offering ``register_handler`` / ``send``.  Two
+per address space offering ``register_handler`` / ``send``.  Three
 implementations exist:
 
 * :class:`repro.simnet.network.Network` — the deterministic in-process
   simulator the paper's figures are reproduced on;
-* :class:`repro.transport.tcp.TcpTransport` — a real asyncio TCP
-  transport (length-prefixed frames, versioned handshake, connection
-  pooling, timeout/backoff retransmission, at-most-once duplicate
-  suppression) so the same sessions run across genuine OS processes;
+* :class:`repro.transport.tcp.TcpTransport` — a real TCP carrier
+  (length-prefixed frames over blocking sockets, one connection per
+  peer) so the same sessions run across genuine OS processes;
 * :class:`repro.transport.shm.ShmTransport` — a zero-copy
   shared-memory carrier: control frames over lock-free SPSC ring
   buffers, bulk payloads handed over as epoch-stamped offsets into a
   shared data segment (no per-byte wire cost at all).
+
+Both real carriers are *links* under one exchange engine,
+:class:`repro.transport.exchange.FramedTransport`: the versioned
+handshake, timeout/backoff retransmission, at-most-once duplicate
+suppression and fault injection are written once there.
 
 ``python -m repro.transport serve`` hosts one address space per OS
 process; see :mod:`repro.transport.host`.
@@ -29,6 +33,12 @@ from repro.transport.base import (
     Transport,
     TransportError,
 )
+from repro.transport.exchange import (
+    FaultInjector,
+    FramedTransport,
+    HandshakeError,
+    RemoteHandlerError,
+)
 from repro.transport.framing import PROTOCOL_VERSION
 from repro.transport.shm import (
     SegmentAllocator,
@@ -38,18 +48,13 @@ from repro.transport.shm import (
     ShmTransport,
     purge_stale_segments,
 )
-from repro.transport.tcp import (
-    FaultInjector,
-    HandshakeError,
-    RemoteHandlerError,
-    TcpEndpoint,
-    TcpTransport,
-)
+from repro.transport.tcp import TcpEndpoint, TcpTransport
 from repro.transport.wallclock import WallClock
 
 __all__ = [
     "Endpoint",
     "FaultInjector",
+    "FramedTransport",
     "HandshakeError",
     "PROTOCOL_VERSION",
     "RemoteHandlerError",

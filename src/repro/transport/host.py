@@ -61,7 +61,8 @@ from repro.transport.shm import (
     ShmTransport,
     purge_stale_segments,
 )
-from repro.transport.tcp import FaultInjector, TcpTransport
+from repro.transport.exchange import FaultInjector
+from repro.transport.tcp import TcpTransport
 from repro.workloads.hashtable import bind_hash_server, register_hash_types
 from repro.workloads.linked_list import bind_list_server, register_list_types
 from repro.workloads.traversal import (
@@ -113,36 +114,27 @@ def _make_transport(
         # Reap segments abandoned by crashed hosts (``os._exit`` never
         # runs ``close()``) before creating fresh ones.
         purge_stale_segments()
-        built = ShmTransport(
-            site_id,
-            stats=stats,
-            clock=clock,
-            peers=peers,
-            directory_site=directory_site,
-            retry=retry,
-            faults=faults,
-            listen=listen,
-            segment_size=segment_size,
-            ring_slots=ring_slots,
+        cls, options = ShmTransport, dict(
+            segment_size=segment_size, ring_slots=ring_slots
         )
     elif transport == "tcp":
-        built = TcpTransport(
-            site_id,
-            host,
-            port,
-            stats=stats,
-            clock=clock,
-            peers=peers,
-            directory_site=directory_site,
-            retry=retry,
-            faults=faults,
-            listen=listen,
-        )
+        cls, options = TcpTransport, dict(host=host, port=port)
     else:
         raise TransportError(
             f"unknown transport {transport!r} (expected one of "
             f"{', '.join(TRANSPORTS)})"
         )
+    built = cls(
+        site_id,
+        stats=stats,
+        clock=clock,
+        peers=peers,
+        directory_site=directory_site,
+        retry=retry,
+        faults=faults,
+        listen=listen,
+        **options,
+    )
     built.start()
     return built
 

@@ -44,12 +44,13 @@ transport's random base name (``srpc-<hex>``):
   staged view and releases the lease — the commit is the flip of the
   extent's stamp word from pinned to retired, not a re-ship of pages.
 
-Reliability mirrors :class:`TcpTransport` frame for frame: exchange
-ids carry a per-boot incarnation, senders retransmit on timeout with
-exponential backoff, receivers suppress duplicates through the shared
-:class:`~repro.transport.base.ReplyCache` plus an in-flight table, and
-the same :class:`~repro.transport.tcp.FaultInjector` drops, duplicates
-and crash-kills frames for the crash-matrix tests.  Peer death is
+Reliability is the shared engine of :mod:`repro.transport.exchange`,
+exactly as on TCP: this module is the *link* — dial (create a
+connection segment and handshake on the caller's thread), accept and
+deliver (one poller thread scans for dialers and drains every receive
+ring into the engine), write one frame into a ring, close — plus the
+engine's two payload hooks, which spill large request and reply bodies
+into the data segment and map received extents.  Peer death is
 detected by heartbeat words going stale (or a closed flag) — never a
 hang — and a dying transport bumps its data segment's epoch so any
 extent reference still in flight fails validation instead of reading
@@ -69,46 +70,28 @@ import os
 import struct
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from multiprocessing import resource_tracker, shared_memory
-from typing import Dict, Iterable, List, Optional, Set, Tuple, Union
+from typing import Dict, List, Optional, Set, Tuple, Union
 
-from repro.simnet.clock import CostModel
-from repro.simnet.message import Message, MessageKind
-from repro.simnet.stats import StatsCollector
-from repro.transport.base import (
-    Endpoint,
-    RetryPolicy,
-    Transport,
-    TransportError,
+from repro.simnet.message import MessageKind
+from repro.transport.base import Endpoint, TransportError
+from repro.transport.exchange import (
+    HANDSHAKE_TIMEOUT,
+    Connection,
+    FramedTransport,
 )
 from repro.transport.framing import (
     PROTOCOL_VERSION,
-    STATUS_HANDLER_ERROR,
     STATUS_OK,
     FramingError,
     Frame,
-    Goodbye,
-    Hello,
-    Ping,
-    Pong,
-    Reply,
-    Request,
     SegAck,
     SegReply,
     SegRequest,
-    Welcome,
     clock_to_wire,
     decode_frame,
     encode_frame,
 )
-from repro.transport.tcp import (
-    HANDSHAKE_TIMEOUT,
-    FaultInjector,
-    HandshakeError,
-    RemoteHandlerError,
-)
-from repro.transport.wallclock import WallClock
 
 #: Where the kernel exposes POSIX shared memory objects.
 SHM_DIR = "/dev/shm"
@@ -124,10 +107,14 @@ DEFAULT_RING_SLOTS = 64
 
 #: Payload capacity of one ring slot; frames that do not fit ship
 #: their payload through the data segment instead.
-DEFAULT_SLOT_BYTES = 4096
+SLOT_BYTES = 4096
+
+#: Payloads above this ship as segment extents; the threshold leaves
+#: headroom in the slot for the frame envelope.
+SPILL_THRESHOLD = SLOT_BYTES - 512
 
 #: Seconds of silent heartbeat after which a peer is declared dead.
-DEFAULT_PEER_TIMEOUT = 2.0
+PEER_TIMEOUT = 2.0
 
 #: How often the poller bumps its heartbeat words.
 HEARTBEAT_INTERVAL = 0.05
@@ -178,8 +165,12 @@ def _ring_decode(data: bytes) -> Frame:
     return decode_frame(memoryview(data)[4:])
 
 
-def _untrack(shm: shared_memory.SharedMemory) -> None:
-    """Detach ``shm`` from the resource tracker.
+#: Serialises every tracked open with its untrack (see :func:`_open_segment`).
+_TRACKER_LOCK = threading.Lock()
+
+
+def _open_segment(name: str, **options) -> shared_memory.SharedMemory:
+    """Open a segment and detach it from the resource tracker.
 
     CPython (bpo-39959) registers shared memory with the tracker on
     *attach* as well as create, so any process that merely mapped a
@@ -187,23 +178,28 @@ def _untrack(shm: shared_memory.SharedMemory) -> None:
     under its surviving peers and spewing leak warnings.  Ownership is
     ours to manage: each segment is unlinked exactly once, by its
     creator's ``close()`` or by :func:`purge_stale_segments`.
+
+    The tracker keeps registered names in a *set*, so when a dialer's
+    create and a poller's attach of one segment interleave in one
+    process (REGISTER, REGISTER, UNREGISTER, UNREGISTER) the second
+    UNREGISTER finds nothing and the tracker prints a ``KeyError``.
+    The lock keeps each REGISTER paired with its UNREGISTER.
     """
-    try:
-        resource_tracker.unregister(shm._name, "shared_memory")
-    except Exception:  # pragma: no cover - tracker is an implementation detail
-        pass
+    with _TRACKER_LOCK:
+        shm = shared_memory.SharedMemory(name=name, **options)
+        try:
+            resource_tracker.unregister(shm._name, "shared_memory")
+        except Exception:  # pragma: no cover - tracker internals
+            pass
+    return shm
 
 
 def _create_segment(name: str, size: int) -> shared_memory.SharedMemory:
-    shm = shared_memory.SharedMemory(name=name, create=True, size=size)
-    _untrack(shm)
-    return shm
+    return _open_segment(name, create=True, size=size)
 
 
 def _attach_segment(name: str) -> shared_memory.SharedMemory:
-    shm = shared_memory.SharedMemory(name=name)
-    _untrack(shm)
-    return shm
+    return _open_segment(name)
 
 
 def _close_segment(
@@ -220,7 +216,7 @@ def _close_segment(
         return
     if unlink:
         # Not shm.unlink(): that would send a second UNREGISTER to the
-        # resource tracker (we already detached in ``_untrack``), and
+        # resource tracker (we already detached in ``_open_segment``), and
         # the tracker daemon logs a KeyError for every unpaired one.
         try:
             import _posixshmem
@@ -299,31 +295,20 @@ def purge_stale_segments(prefix: str = NAME_PREFIX) -> List[str]:
     return reaped
 
 
-class _Backoff:
+def _backoff():
     """Spin → yield → sleep, the futex-free waiting discipline.
 
-    A handful of raw spins catches the common case (the peer is about
-    to publish), ``sleep(0)`` yields the GIL to in-process peers, and
-    a short capped sleep keeps an idle poller near-free while bounding
-    added latency to ~0.2 ms.
+    Each ``next()`` is one pause.  A handful of raw spins catches the
+    common case (the peer is about to publish), ``sleep(0)`` yields the
+    GIL to in-process peers, and a short capped sleep keeps an idle
+    poller near-free while bounding added latency to ~0.2 ms.
     """
-
-    __slots__ = ("spins",)
-
-    def __init__(self) -> None:
-        self.spins = 0
-
-    def reset(self) -> None:
-        self.spins = 0
-
-    def pause(self) -> None:
-        self.spins += 1
-        if self.spins <= 16:
-            return
-        if self.spins <= 64:
+    for spins in itertools.count(1):
+        if spins > 64:
+            time.sleep(min(0.0002, 0.00001 * (spins - 64)))
+        elif spins > 16:
             time.sleep(0)
-            return
-        time.sleep(min(0.0002, 0.00001 * (self.spins - 64)))
+        yield
 
 
 class _Ring:
@@ -395,75 +380,33 @@ class _Ring:
         return data
 
 
-class _Waiter:
-    """One blocked exchange (or ping) awaiting its reply frame."""
-
-    __slots__ = ("event", "value", "error")
-
-    def __init__(self) -> None:
-        self.event = threading.Event()
-        self.value: Optional[Frame] = None
-        self.error: Optional[BaseException] = None
-
-    def resolve(self, frame: Frame) -> None:
-        if not self.event.is_set():
-            self.value = frame
-            self.event.set()
-
-    def fail(self, error: BaseException) -> None:
-        if not self.event.is_set():
-            self.error = error
-            self.event.set()
-
-    def wait(self, timeout: float) -> Frame:
-        if not self.event.wait(timeout):
-            raise TimeoutError("no reply within the attempt timeout")
-        if self.error is not None:
-            raise self.error
-        assert self.value is not None
-        return self.value
-
-
-class _Connection:
+class _Connection(Connection):
     """One connection segment: two rings plus liveness words."""
 
     def __init__(
         self,
         name: str,
         shm: shared_memory.SharedMemory,
-        side: str,
         slots: int,
-        slot_bytes: int,
-        owned: bool,
+        dialer: bool,
     ) -> None:
+        super().__init__()
         self.name = name
         self.shm = shm
-        self.side = side  # "a" dialed it, "b" accepted it
-        self.owned = owned  # we created the segment (and unlink it)
-        self.peer: Optional[str] = None
-        self.alive = True
-        self.pending: Dict[int, _Waiter] = {}
-        self.pings: Dict[int, _Waiter] = {}
-        mv = shm.buf
-        self._mv = mv
-        ring_a = _CONN_HEADER
-        ring_b = ring_a + _Ring.region_size(slots, slot_bytes)
-        if side == "a":
-            self.tx = _Ring(mv, ring_a, slots, slot_bytes)
-            self.rx = _Ring(mv, ring_b, slots, slot_bytes)
-            self._hb_mine, self._hb_theirs = _C_HB_A, _C_HB_B
-            self._closed_mine, self._closed_theirs = (
-                _C_CLOSED_A,
-                _C_CLOSED_B,
-            )
-        else:
-            self.tx = _Ring(mv, ring_b, slots, slot_bytes)
-            self.rx = _Ring(mv, ring_a, slots, slot_bytes)
-            self._hb_mine, self._hb_theirs = _C_HB_B, _C_HB_A
-            self._closed_mine, self._closed_theirs = (
-                _C_CLOSED_B,
-                _C_CLOSED_A,
-            )
+        self.owned = dialer  # the dialer created the segment (and unlinks)
+        self._mv = mv = shm.buf
+        region = _Ring.region_size(slots, SLOT_BYTES)
+        rings = [
+            _Ring(mv, _CONN_HEADER + side * region, slots, SLOT_BYTES)
+            for side in (0, 1)
+        ]
+        words = [(_C_HB_A, _C_CLOSED_A), (_C_HB_B, _C_CLOSED_B)]
+        # Ring 0 and the A words belong to the dialer, 1 and B to the
+        # listener.
+        mine = 0 if dialer else 1
+        self.tx, self.rx = rings[mine], rings[1 - mine]
+        self._hb_mine, self._closed_mine = words[mine]
+        self._hb_theirs, self._closed_theirs = words[1 - mine]
         self._hb_value = 0
         self._peer_hb = -1
         self._peer_hb_seen = time.monotonic()
@@ -495,7 +438,7 @@ class _Connection:
     def write(self, data: bytes, timeout: float) -> None:
         """Push one frame, spinning while the ring is full."""
         deadline = time.monotonic() + timeout
-        backoff = _Backoff()
+        pause = _backoff()
         while True:
             if not self.alive:
                 raise ConnectionResetError(
@@ -507,25 +450,11 @@ class _Connection:
                 raise TimeoutError(
                     f"ring to {self.peer!r} full for {timeout}s"
                 )
-            backoff.pause()
-
-    def try_write(self, data: bytes, timeout: float = 0.2) -> bool:
-        """Push best-effort (acks, goodbyes); False if it did not fit."""
-        try:
-            self.write(data, timeout)
-            return True
-        except (TimeoutError, ConnectionResetError, ValueError, TypeError):
-            return False
+            next(pause)
 
     def abort(self, error: Exception) -> None:
-        """Mark dead and fail every outstanding waiter."""
-        self.alive = False
-        for waiter in list(self.pending.values()):
-            waiter.fail(error)
-        self.pending.clear()
-        for waiter in list(self.pings.values()):
-            waiter.fail(error)
-        self.pings.clear()
+        self.mark_closed()
+        super().abort(error)
 
     def release(self) -> None:
         """Unmap (and unlink, if we created the segment)."""
@@ -547,21 +476,16 @@ class SegmentLease:
     """
 
     def __init__(
-        self,
-        transport: "ShmTransport",
-        conn: _Connection,
-        segment: str,
-        offset: int,
-        extent: int,
-        epoch: int,
+        self, transport: "ShmTransport", conn: _Connection, frame,
         view: memoryview,
     ) -> None:
+        """Lease the extent a ``SEG_REQUEST`` / ``SEG_REPLY`` names."""
         self._transport = transport
         self._conn = conn
-        self.segment = segment
-        self.offset = offset
-        self.extent = extent
-        self.epoch = epoch
+        self.segment = frame.segment
+        self.offset = frame.offset
+        self.extent = frame.extent
+        self.epoch = frame.epoch
         self.view: Optional[memoryview] = view
         self.retained = False
         self._released = False
@@ -705,7 +629,7 @@ class SegmentAllocator:
                 f"data segment {self.name!r} (raise --segment-size)"
             )
         deadline = time.monotonic() + timeout
-        backoff = _Backoff()
+        pause = _backoff()
         while True:
             with self._lock:
                 offset = self._find(need)
@@ -722,7 +646,7 @@ class SegmentAllocator:
                     f"{length} bytes ({len(self._pins)} extents pinned; "
                     "raise --segment-size)"
                 )
-            backoff.pause()
+            next(pause)
         body = offset + _EXTENT_HEADER
         _U32.pack_into(self._mv, offset + 8, length)
         return offset, stamp, self._mv[body : body + length]
@@ -765,6 +689,13 @@ class SegmentAllocator:
             del self._pins[offset]
             return True
 
+    def repin(self, offset: int, peer: str) -> None:
+        """Charge a pinned extent to ``peer`` (see :meth:`release_peer`)."""
+        with self._lock:
+            entry = self._pins.get(offset)
+            if entry is not None:
+                entry[3] = peer
+
     def release_peer(self, peer: str) -> int:
         """Unpin everything shipped to a now-dead peer."""
         with self._lock:
@@ -801,13 +732,8 @@ class SegmentAllocator:
 class ShmEndpoint(Endpoint):
     """The one address space a :class:`ShmTransport` hosts."""
 
-    def __init__(
-        self,
-        site_id: str,
-        transport: "ShmTransport",
-        reply_cache_limit: int = 4096,
-    ) -> None:
-        super().__init__(site_id, reply_cache_limit=reply_cache_limit)
+    def __init__(self, site_id: str, transport: "ShmTransport") -> None:
+        super().__init__(site_id)
         self.transport = transport
 
     def send(
@@ -824,109 +750,53 @@ class ShmEndpoint(Endpoint):
         )
 
 
-class ShmTransport(Transport):
+class ShmTransport(FramedTransport):
     """Ring-buffered, segment-offset-shipped at-most-once exchanges.
 
-    One instance per OS process (or per simulated "process" when tests
-    run several transports inside one interpreter — the rings work
-    identically across threads).  ``peers`` maps site ids to listener
-    segment names; unknown destinations resolve through the site
-    directory at ``directory_site``, whose records carry the segment
-    name in their ``host`` field (port 0).
+    ``peers`` maps site ids to listener segment names (directory
+    records carry the name in their ``host`` field, port 0); see
+    :class:`~repro.transport.exchange.FramedTransport` for the rest.
     """
+
+    endpoint_class = ShmEndpoint
+
+    #: A refused dial here is a missing or closed listener segment;
+    #: poll for it briskly instead of sitting out the attempt timeout.
+    redial_pause = 0.05
 
     def __init__(
         self,
         site_id: str,
         *,
-        clock=None,
-        cost_model: Optional[CostModel] = None,
-        stats: Optional[StatsCollector] = None,
-        peers: Optional[Dict[str, str]] = None,
-        directory_site: Optional[str] = None,
-        retry: Optional[RetryPolicy] = None,
-        faults: Optional[FaultInjector] = None,
-        reply_cache_limit: int = 4096,
-        max_workers: int = 32,
-        listen: bool = True,
         segment_size: int = DEFAULT_SEGMENT_SIZE,
         ring_slots: int = DEFAULT_RING_SLOTS,
-        slot_bytes: int = DEFAULT_SLOT_BYTES,
-        peer_timeout: float = DEFAULT_PEER_TIMEOUT,
-        protocol_version: int = PROTOCOL_VERSION,
-        accept_versions: Optional[Iterable[int]] = None,
+        **options,
     ) -> None:
-        super().__init__(
-            clock=clock if clock is not None else WallClock(),
-            cost_model=cost_model,
-            stats=stats,
-        )
-        if ring_slots < 2 or slot_bytes < 256:
-            raise ValueError(
-                f"bad ring geometry slots={ring_slots} bytes={slot_bytes}"
-            )
-        self.site_id = site_id
-        self._listen = listen
-        # Shared by reference (like TcpTransport): make_world mutates
-        # one peer table in place as each stack's listener comes up.
-        self._peers: Dict[str, str] = peers if peers is not None else {}
-        self._directory_site = directory_site
-        self._retry = retry if retry is not None else RetryPolicy()
-        self._faults = faults
+        super().__init__(site_id, **options)
+        if ring_slots < 2:
+            raise ValueError(f"bad ring geometry slots={ring_slots}")
         self._segment_size = segment_size
         self._ring_slots = ring_slots
-        self._slot_bytes = slot_bytes
-        self._peer_timeout = peer_timeout
-        self._protocol_version = protocol_version
-        self._accept_versions = frozenset(
-            accept_versions if accept_versions is not None
-            else (protocol_version,)
-        )
-        # Payloads above this ship as segment extents; the threshold
-        # leaves headroom in the slot for the frame envelope.
-        self.spill_threshold = slot_bytes - 512
-        self.endpoint = ShmEndpoint(
-            site_id, self, reply_cache_limit=reply_cache_limit
-        )
+        self.spill_threshold = SPILL_THRESHOLD
         self.name = NAME_PREFIX + os.urandom(6).hex()
-        self.address: Optional[str] = None
-        self.retransmissions = 0
-        self.dials: Dict[str, int] = {}
         self.handovers = 0
-        incarnation = int.from_bytes(os.urandom(4), "big")
-        self._exchange_ids = itertools.count((incarnation << 32) | 1)
-        self._executor = ThreadPoolExecutor(
-            max_workers=max_workers, thread_name_prefix=f"shm-{site_id}"
-        )
         self._allocator: Optional[SegmentAllocator] = None
         self._listener_shm: Optional[shared_memory.SharedMemory] = None
-        self._conns: Dict[str, _Connection] = {}  # segment name -> conn
-        self._by_peer: Dict[str, _Connection] = {}
         self._accepting: Dict[str, Tuple[_Connection, float]] = {}
         self._seen_conn_names: Set[str] = set()
-        self._conn_lock = threading.Lock()
-        self._dial_lock = threading.Lock()
-        self._serve_lock = threading.Lock()
-        self._inflight: Dict[Tuple[str, int], threading.Event] = {}
         self._attached: Dict[str, Tuple[shared_memory.SharedMemory,
                                         memoryview]] = {}
         self._attach_lock = threading.Lock()
         self._deferred = threading.local()
         self._all_deferred: Set[SegmentLease] = set()
         self._deferred_lock = threading.Lock()
-        self._poller: Optional[threading.Thread] = None
-        self._stop = threading.Event()
-        self._closed = False
+        self._stopping = threading.Event()
 
     # -- lifecycle ------------------------------------------------------------
 
-    def start(self) -> Optional[str]:
-        """Create segments, start the poller; return the address
-        (the listener segment name) or ``None`` when not listening."""
-        if self._poller is not None:
-            raise TransportError(
-                f"transport for {self.site_id!r} already started"
-            )
+    def _open(self) -> Optional[str]:
+        """Create segments and start the poller; the address is the
+        listener segment name (``None`` when not listening)."""
         if not os.path.isdir(SHM_DIR):  # pragma: no cover - exotic host
             raise TransportError(
                 f"shared-memory carrier needs {SHM_DIR} (POSIX shm)"
@@ -934,6 +804,7 @@ class ShmTransport(Transport):
         self._allocator = SegmentAllocator(
             self.name + ".d", self._segment_size
         )
+        address = None
         if self._listen:
             shm = _create_segment(self.name, _LISTENER_SEG_SIZE)
             mv = shm.buf
@@ -945,51 +816,23 @@ class ShmTransport(Transport):
             _U32.pack_into(mv, _L_READY, 1)
             mv[_L_MAGIC : _L_MAGIC + 8] = _LISTENER_MAGIC
             self._listener_shm = shm
-            self.address = self.name
-        self._poller = threading.Thread(
-            target=self._poll_loop,
-            name=f"shm-poll-{self.site_id}",
-            daemon=True,
-        )
-        self._poller.start()
-        return self.address
+            address = self.name
+        self._spawn(f"shm-poll-{self.site_id}", self._poll_loop)
+        return address
 
     def close(self) -> None:
         """Say goodbye, invalidate the segment epoch, unlink everything."""
         if self._closed:
             return
-        self._closed = True
         # Settle zero-copy reply leases still deferred anywhere.
         with self._deferred_lock:
             leases = list(self._all_deferred)
         for lease in leases:
             lease.release()
-        goodbye = encode_frame(Goodbye(self.site_id, "shutting down"))
-        with self._conn_lock:
-            conns = list(self._conns.values())
-        for conn in conns:
-            if conn.alive:
-                conn.mark_closed()
-                conn.try_write(goodbye, timeout=0.05)
-            conn.abort(ConnectionResetError("transport closed"))
-        if self._listener_shm is not None:
-            try:
-                _U32.pack_into(self._listener_shm.buf, _L_CLOSED, 1)
-            except (ValueError, TypeError):  # pragma: no cover
-                pass
-        self._stop.set()
-        if self._poller is not None:
-            self._poller.join(HANDSHAKE_TIMEOUT)
-        self._executor.shutdown(wait=False)
-        with self._conn_lock:
-            conns = list(self._conns.values())
-            self._conns.clear()
-            self._by_peer.clear()
-            for conn, _deadline in self._accepting.values():
-                conns.append(conn)
-            self._accepting.clear()
-        for conn in conns:
+        super().close()
+        for conn, _deadline in self._accepting.values():
             conn.release()
+        self._accepting.clear()
         with self._attach_lock:
             attached = list(self._attached.values())
             self._attached.clear()
@@ -998,44 +841,22 @@ class ShmTransport(Transport):
         if self._allocator is not None:
             self._allocator.close()
         _close_segment(self._listener_shm, unlink=True)
-        self._listener_shm = None
+
+    def _stop(self) -> None:
+        if self._listener_shm is not None:
+            _U32.pack_into(self._listener_shm.buf, _L_CLOSED, 1)
+        self._stopping.set()
 
     # -- peer addressing ------------------------------------------------------
 
     def add_peer(self, site_id: str, address: Union[str, Tuple]) -> None:
-        """Teach this transport which listener segment ``site_id`` owns.
-
-        Accepts a bare segment name or a directory-shaped ``(host,
-        port)`` pair whose host carries the segment name.
-        """
+        """Teach this transport which listener segment ``site_id`` owns
+        (a segment name, or a directory ``(name, 0)`` pair)."""
         if isinstance(address, tuple):
             address = address[0]
         self._peers[site_id] = str(address)
 
-    def _resolve(self, dst: str) -> str:
-        name = self._peers.get(dst)
-        if name is not None:
-            return name
-        if self._directory_site is not None and dst != self._directory_site:
-            from repro.namesvc.directory import (
-                decode_lookup_reply,
-                encode_lookup,
-            )
-
-            payload = self.exchange(
-                self._directory_site,
-                MessageKind.SITE_LOOKUP,
-                encode_lookup(dst),
-                MessageKind.DIR_REPLY,
-            )
-            host, _port, _age = decode_lookup_reply(bytes(payload), dst)
-            self._peers[dst] = host
-            return host
-        raise TransportError(
-            f"site {self.site_id!r} has no route to {dst!r}"
-        )
-
-    # -- zero-copy send buffers ----------------------------------------------
+    # -- payload hooks: spill to the data segment, map extents ----------------
 
     def reserve_payload(self, length: int) -> SegmentPayload:
         """A writable view straight into this transport's data segment.
@@ -1051,232 +872,84 @@ class ShmTransport(Transport):
         offset, stamp, view = self._allocator.reserve(length)
         return SegmentPayload(offset, stamp, view, length)
 
-    # -- client side ----------------------------------------------------------
+    def _spill(self, body, peer: Optional[str] = None) -> Optional[dict]:
+        """Park a large (or pre-reserved) body in the data segment;
+        returns the extent fields of its SEG frame, else ``None``.
 
-    def exchange(
-        self,
-        dst: str,
-        kind: MessageKind,
-        payload: Union[bytes, SegmentPayload],
-        reply_kind: Optional[MessageKind] = None,
-        timeout: Optional[float] = None,
-    ) -> bytes:
-        """Blocking request/response exchange with at-most-once retries.
-
-        ``timeout`` caps the *whole* exchange — handshakes, ring
-        pushes, retransmits and all — failing it with
-        :class:`TransportError` once elapsed instead of running the
-        full retry schedule.
+        ``peer`` re-routes the extent's pin to the peer that will read
+        it, so a dead reader's unacked extent is reaped with its
+        connection.
         """
-        if self._poller is None:
-            raise TransportError(
-                f"transport for {self.site_id!r} is not started"
-            )
-        if threading.current_thread() is self._poller:
-            raise TransportError(
-                "exchange() must not be called from the poller thread"
-            )
-        self._flush_deferred()
-        cap = timeout
-        deadline = time.monotonic() + cap if cap is not None else None
-        name = self._resolve(dst)
-        exchange_id = next(self._exchange_ids)
-        spill: Optional[SegmentPayload] = None
-        settled = False
-        try:
-            if isinstance(payload, SegmentPayload):
-                spill = payload
-            elif len(payload) > self.spill_threshold:
-                spill = self.reserve_payload(len(payload))
-                spill.view[:] = payload
-            clock = clock_to_wire(self.endpoint.vclock.tick())
-            if spill is not None:
-                if not spill.published:
-                    self._allocator.publish(spill.offset)
-                    spill.published = True
-                frame: Frame = SegRequest(
-                    exchange_id=exchange_id,
-                    src=self.site_id,
-                    dst=dst,
-                    kind=kind.value,
-                    expects_reply=reply_kind is not None,
-                    segment=self._allocator.name,
-                    offset=spill.offset + _EXTENT_HEADER,
-                    length=spill.length,
-                    extent=spill.stamp,
-                    epoch=self._allocator.epoch,
-                    clock=clock,
-                )
-                logical = spill.view if spill.view is not None else b""
-            else:
-                frame = Request(
-                    exchange_id=exchange_id,
-                    src=self.site_id,
-                    dst=dst,
-                    kind=kind.value,
-                    expects_reply=reply_kind is not None,
-                    payload=bytes(payload),
-                    clock=clock,
-                )
-                logical = frame.payload
-            encoded = encode_frame(frame)
-            reply = self._run_attempts(
-                dst, name, kind, exchange_id, encoded, logical,
-                cap, deadline,
-            )
-            settled = True  # peer acks (or TTL-reaps) the extent now
-            return self._finish(dst, kind, reply_kind, reply)
-        finally:
-            if not settled and spill is not None and self._allocator:
-                self._allocator.release(spill.offset, spill.stamp)
-
-    def _run_attempts(
-        self,
-        dst: str,
-        name: str,
-        kind: MessageKind,
-        exchange_id: int,
-        encoded: bytes,
-        logical,
-        cap: Optional[float],
-        deadline: Optional[float],
-    ) -> Frame:
-        """The retry loop: transmit, wait, back off — TcpTransport's."""
-        attempts = 0
-        last_error: Optional[BaseException] = None
-        for attempt_timeout in self._retry.timeouts():
-            attempts += 1
-            if deadline is not None:
-                remaining = deadline - time.monotonic()
-                if remaining <= 0:
-                    raise TransportError(
-                        f"{kind.value} exchange {self.site_id!r}->"
-                        f"{dst!r} exceeded its {cap}s cap after "
-                        f"{attempts - 1} attempt(s) ({last_error})"
-                    )
-                attempt_timeout = min(attempt_timeout, remaining)
-            try:
-                conn = self._acquire(dst, name)
-            except HandshakeError:
-                raise
-            except (ConnectionError, OSError, TimeoutError) as exc:
-                last_error = exc
-                self.note_timeout(
-                    f"connect to {dst!r} failed ({exc}); retrying",
-                    site=self.site_id,
-                )
-                time.sleep(min(attempt_timeout, 0.05))
-                continue
-            waiter = _Waiter()
-            conn.pending[exchange_id] = waiter
-            action = (
-                self._faults.request_action() if self._faults else None
-            )
-            try:
-                message = Message(
-                    src=self.site_id, dst=dst, kind=kind, payload=logical
-                )
-                if action == FaultInjector.DROP:
-                    # Charged as sent, lost in transit — the simulator's
-                    # lossy path does exactly this.
-                    self.note_message(message, stamp=self._stamp())
-                    self.stats.record_event(
-                        self.clock.now,
-                        "loss",
-                        f"injected drop of {kind.value} "
-                        f"{self.site_id}->{dst}",
-                        data={"site": self.site_id},
-                    )
-                else:
-                    conn.write(encoded, attempt_timeout)
-                    self.note_message(message, stamp=self._stamp())
-                    if self._faults is not None and (
-                        self._faults.crash_after_send(kind)
-                    ):
-                        # Planned death: the frame is in the ring (the
-                        # peer will process it) but this process dies
-                        # before its reply can land.
-                        os._exit(FaultInjector.CRASH_EXIT_CODE)
-                    if action == FaultInjector.DUPLICATE:
-                        conn.write(encoded, attempt_timeout)
-                        self.note_message(message, stamp=self._stamp())
-                reply = waiter.wait(attempt_timeout)
-            except (ConnectionError, OSError, TimeoutError) as exc:
-                last_error = exc
-                self.retransmissions += 1
-                self.note_timeout(
-                    f"{kind.value} exchange {self.site_id}->{dst} timed "
-                    "out; retransmitting",
-                    site=self.site_id,
-                )
-                continue
-            finally:
-                conn.pending.pop(exchange_id, None)
-            return reply
-        raise TransportError(
-            f"{kind.value} exchange {self.site_id!r}->{dst!r} failed "
-            f"after {attempts} attempts ({last_error})"
-        )
-
-    def _stamp(self) -> Optional[dict]:
-        """The endpoint's causal stamp, or None when tracing is off."""
-        return self.endpoint.stamp() if self.stats.tracing else None
-
-    def _finish(
-        self,
-        dst: str,
-        kind: MessageKind,
-        reply_kind: Optional[MessageKind],
-        reply: Frame,
-    ) -> bytes:
-        # The reply piggybacks the responder's clock: merging it makes
-        # everything the handler did happen-before this site's next
-        # traced event.
-        self.endpoint.vclock.merge(dict(reply.clock))
-        if isinstance(reply, SegReply):
-            payload: bytes = self._open_reply(dst, reply)
+        if isinstance(body, SegmentPayload):
+            spill = body
+        elif len(body) > self.spill_threshold and self._allocator:
+            spill = self.reserve_payload(len(body))
+            spill.view[:] = body
         else:
-            payload = reply.payload
-        if reply.status == STATUS_HANDLER_ERROR:
-            raise RemoteHandlerError(
-                f"{kind.value} handler at {dst!r} failed: "
-                f"{bytes(payload).decode('utf-8', 'replace')}"
-            )
-        if reply.status != STATUS_OK:
-            raise TransportError(
-                f"bad reply status {reply.status!r} from {dst!r}"
-            )
-        if reply_kind is None:
-            if payload:
-                raise TransportError(
-                    f"one-way {kind} message to {dst!r} produced a reply"
-                )
-            return b""
-        self.note_message(
-            Message(
-                src=dst,
-                dst=self.site_id,
-                kind=reply_kind,
-                payload=payload,
-            ),
-            stamp=self._stamp(),
+            return None
+        if not spill.published:
+            self._allocator.publish(spill.offset)
+            spill.published = True
+        if peer is not None:
+            self._allocator.repin(spill.offset, peer)
+        return dict(
+            segment=self._allocator.name,
+            offset=spill.offset + _EXTENT_HEADER,
+            length=spill.length,
+            extent=spill.stamp,
+            epoch=self._allocator.epoch,
         )
-        return payload
 
-    def _open_reply(self, dst: str, reply: SegReply) -> memoryview:
-        """Map a reply extent; the ack is deferred until this thread's
-        next exchange so the caller can consume the view first."""
-        conn = self._by_peer.get(dst)
-        if conn is None or not conn.alive:
-            raise TransportError(
-                f"reply extent from {dst!r} arrived on a dead connection"
+    def _request_frame(
+        self, exchange_id, dst, kind, payload, expects_reply, clock
+    ):
+        # A new exchange from this thread: the views of its previous
+        # replies are consumed, so their extents can be acknowledged.
+        self._flush_deferred()
+        extent = self._spill(payload)
+        if extent is None:
+            return super()._request_frame(
+                exchange_id, dst, kind, payload, expects_reply, clock
             )
-        view, lease = self._map_extent(
-            conn, dst, "reply", reply.segment, reply.offset,
-            reply.length, reply.extent, reply.epoch,
+        if isinstance(payload, SegmentPayload):
+            payload = payload.view
+        return SegRequest(
+            exchange_id=exchange_id,
+            src=self.site_id,
+            dst=dst,
+            kind=kind.value,
+            expects_reply=expects_reply,
+            clock=clock,
+            **extent,
+        ), payload
+
+    def _abandon(self, frame: Frame) -> None:
+        if isinstance(frame, SegRequest) and self._allocator is not None:
+            self._allocator.release(
+                frame.offset - _EXTENT_HEADER, frame.extent
+            )
+
+    def _reply_frame(self, request: Frame, body) -> Frame:
+        extent = self._spill(body, peer=request.src)
+        if extent is None:
+            return super()._reply_frame(request, body)
+        return SegReply(
+            exchange_id=request.exchange_id,
+            status=STATUS_OK,
+            clock=clock_to_wire(self.endpoint.vclock.tick()),
+            **extent,
         )
-        self._defer_release(lease)
-        return view
+
+    def _open_payload(self, conn, src, kind, frame):
+        if isinstance(frame, SegRequest):
+            return self._map_extent(conn, src, kind, frame)
+        if isinstance(frame, SegReply):
+            # The ack is deferred until this thread's next exchange so
+            # the caller can consume the view first.
+            view, lease = self._map_extent(conn, src, "reply", frame)
+            self._defer_release(lease)
+            return view, None
+        return frame.payload, None
 
     def _defer_release(self, lease: SegmentLease) -> None:
         acks = getattr(self._deferred, "acks", None)
@@ -1300,16 +973,6 @@ class ShmTransport(Transport):
             self._all_deferred.discard(lease)
 
     # -- connection management ------------------------------------------------
-
-    def _acquire(self, dst: str, name: str) -> _Connection:
-        conn = self._by_peer.get(dst)
-        if conn is not None and conn.alive:
-            return conn
-        with self._dial_lock:
-            conn = self._by_peer.get(dst)
-            if conn is not None and conn.alive:
-                return conn
-            return self._dial(dst, name)
 
     def _dial(self, dst: str, listener_name: str) -> _Connection:
         try:
@@ -1337,114 +1000,51 @@ class ShmTransport(Transport):
         finally:
             _close_segment(listener)
         conn_name = f"{listener_name}.c{os.urandom(4).hex()}"
-        size = _CONN_HEADER + 2 * _Ring.region_size(
-            self._ring_slots, self._slot_bytes
-        )
-        shm = _create_segment(conn_name, size)
+        region = _Ring.region_size(self._ring_slots, SLOT_BYTES)
+        shm = _create_segment(conn_name, _CONN_HEADER + 2 * region)
         mv = shm.buf
         # Pid before magic: purge_stale_segments reaps any magicked
         # segment whose owner-pid word reads zero or dead.
         _U32.pack_into(mv, _C_VERSION, self._protocol_version)
         _U64.pack_into(mv, _C_PID_A, os.getpid())
         mv[_C_MAGIC : _C_MAGIC + 8] = _CONN_MAGIC
-        ring_a = _CONN_HEADER
-        ring_b = ring_a + _Ring.region_size(self._ring_slots,
-                                            self._slot_bytes)
-        _Ring.format(mv, ring_a, self._ring_slots, self._slot_bytes)
-        _Ring.format(mv, ring_b, self._ring_slots, self._slot_bytes)
+        _Ring.format(mv, _CONN_HEADER, self._ring_slots, SLOT_BYTES)
+        _Ring.format(mv, _CONN_HEADER + region, self._ring_slots, SLOT_BYTES)
         _U32.pack_into(mv, _C_READY, 1)
-        conn = _Connection(
-            conn_name, shm, "a", self._ring_slots, self._slot_bytes,
-            owned=True,
-        )
+        conn = _Connection(conn_name, shm, self._ring_slots, dialer=True)
         conn.peer = dst
         conn.beat()
         # Handshake runs on this thread; the poller takes over only
-        # after the connection is registered (SPSC stays SPSC).
-        hello = encode_frame(
-            Hello(self._protocol_version, self.site_id)
-        )
-        conn.write(hello, HANDSHAKE_TIMEOUT)
+        # after the connection is adopted (SPSC stays SPSC).
+        self._greet(conn, lambda: self._await_frame(conn, dst))
+        return conn
+
+    @staticmethod
+    def _await_frame(conn: _Connection, dst: str) -> Frame:
         deadline = time.monotonic() + HANDSHAKE_TIMEOUT
-        backoff = _Backoff()
-        frame: Optional[Frame] = None
-        while frame is None:
-            data = conn.rx.try_pop()
-            if data is not None:
-                frame = _ring_decode(data)
-                break
+        pause = _backoff()
+        data = conn.rx.try_pop()
+        while data is None:
             if time.monotonic() > deadline:
-                conn.release()
                 raise ConnectionRefusedError(
                     f"no WELCOME from {dst!r} within {HANDSHAKE_TIMEOUT}s"
                 )
-            backoff.pause()
-        if isinstance(frame, Goodbye):
-            conn.release()
-            raise HandshakeError(
-                f"site {dst!r} refused the connection: {frame.reason}"
-            )
-        if (
-            not isinstance(frame, Welcome)
-            or frame.version != self._protocol_version
-        ):
-            conn.release()
-            raise HandshakeError(
-                f"bad handshake from {dst!r}: expected WELCOME v"
-                f"{self._protocol_version}, got {frame!r}"
-            )
-        with self._conn_lock:
-            self._conns[conn_name] = conn
-            self._by_peer[dst] = conn
-        self.dials[dst] = self.dials.get(dst, 0) + 1
-        return conn
+            next(pause)
+            data = conn.rx.try_pop()
+        return _ring_decode(data)
 
     def _drop_conn(self, conn: _Connection, error: Exception) -> None:
-        conn.mark_closed()
-        conn.abort(error)
-        with self._conn_lock:
-            self._conns.pop(conn.name, None)
-            if conn.peer and self._by_peer.get(conn.peer) is conn:
-                del self._by_peer[conn.peer]
+        super()._drop_conn(conn, error)
         if conn.peer and self._allocator is not None:
             self._allocator.release_peer(conn.peer)
-        conn.release()
-
-    def ping(self, dst: str, timeout: float = 2.0) -> float:
-        """Round-trip a transport-level PING; returns the RTT seconds."""
-        if self._poller is None:
-            raise TransportError(
-                f"transport for {self.site_id!r} is not started"
-            )
-        name = self._resolve(dst)
-        try:
-            conn = self._acquire(dst, name)
-        except (ConnectionError, OSError, TimeoutError) as exc:
-            raise TransportError(
-                f"no PONG from {dst!r} within {timeout}s ({exc})"
-            ) from None
-        token = next(self._exchange_ids)
-        waiter = _Waiter()
-        conn.pings[token] = waiter
-        started = time.monotonic()
-        try:
-            conn.write(encode_frame(Ping(token)), timeout)
-            waiter.wait(timeout)
-        except (ConnectionError, OSError, TimeoutError) as exc:
-            raise TransportError(
-                f"no PONG from {dst!r} within {timeout}s ({exc})"
-            ) from None
-        finally:
-            conn.pings.pop(token, None)
-        return time.monotonic() - started
 
     # -- poller ---------------------------------------------------------------
 
     def _poll_loop(self) -> None:
-        backoff = _Backoff()
+        pause = _backoff()
         last_scan = 0.0
         last_beat = 0.0
-        while not self._stop.is_set():
+        while not self._stopping.is_set():
             progressed = False
             now = time.monotonic()
             if self._listen and now - last_scan >= ACCEPT_SCAN_INTERVAL:
@@ -1454,42 +1054,34 @@ class ShmTransport(Transport):
                 except Exception:  # pragma: no cover - defensive
                     pass
             progressed |= self._pump_accepting(now)
-            with self._conn_lock:
-                conns = list(self._conns.values())
             beat = now - last_beat >= HEARTBEAT_INTERVAL
             if beat:
                 last_beat = now
-            for conn in conns:
+            for conn in self._connections():
                 if not conn.alive:
                     continue
                 try:
                     progressed |= self._pump(conn)
                 except Exception:  # pragma: no cover - defensive
-                    self._drop_conn(
-                        conn, ConnectionResetError("poll failure")
-                    )
+                    self._drop_conn(conn, ConnectionResetError("poll failure"))
                     continue
                 if beat:
                     try:
                         conn.beat()
                         gone = conn.peer_closed() or (
-                            conn.peer_stalled(self._peer_timeout)
+                            conn.peer_stalled(PEER_TIMEOUT)
                         )
                     except Exception:  # segment released under us
                         gone = True
                     if gone:
-                        self._drop_conn(
-                            conn,
-                            ConnectionResetError(
-                                f"peer {conn.peer!r} is gone"
-                            ),
-                        )
+                        error = ConnectionResetError(f"{conn.peer!r} is gone")
+                        self._drop_conn(conn, error)
             if beat and self._allocator is not None:
                 self._allocator.expire_pins()
             if progressed:
-                backoff.reset()
+                pause = _backoff()
             else:
-                backoff.pause()
+                next(pause)
 
     def _scan_for_dialers(self) -> bool:
         """Attach fresh connection segments dialers created for us."""
@@ -1513,10 +1105,7 @@ class ShmTransport(Transport):
                 _close_segment(shm)
                 self._seen_conn_names.discard(name)
                 continue
-            conn = _Connection(
-                name, shm, "b", self._ring_slots, self._slot_bytes,
-                owned=False,
-            )
+            conn = _Connection(name, shm, self._ring_slots, dialer=False)
             _U64.pack_into(shm.buf, _C_PID_B, os.getpid())
             conn.beat()
             self._accepting[name] = (
@@ -1538,38 +1127,18 @@ class ShmTransport(Transport):
             progressed = True
             del self._accepting[name]
             try:
-                frame = _ring_decode(data)
+                answer, conn.peer = self._answer_hello(_ring_decode(data))
+                conn.try_write(encode_frame(answer))
             except FramingError:
+                conn.peer = None
+            if conn.peer is None:
                 conn.release()
-                continue
-            if not isinstance(frame, Hello):
-                conn.try_write(encode_frame(
-                    Goodbye(self.site_id, "expected HELLO")
-                ))
-                conn.release()
-                continue
-            if frame.version not in self._accept_versions:
-                supported = ", ".join(
-                    str(v) for v in sorted(self._accept_versions)
-                )
-                conn.try_write(encode_frame(Goodbye(
-                    self.site_id,
-                    f"unsupported protocol version {frame.version} "
-                    f"(supported: {supported})",
-                )))
-                conn.release()
-                continue
-            conn.peer = frame.site_id
-            conn.try_write(encode_frame(
-                Welcome(frame.version, self.site_id)
-            ))
-            with self._conn_lock:
-                self._conns[name] = conn
-                self._by_peer.setdefault(frame.site_id, conn)
+            else:
+                self._adopt(conn, dialed=False)
         return progressed
 
     def _pump(self, conn: _Connection) -> bool:
-        """Drain one connection's receive ring."""
+        """Drain one connection's receive ring into the engine."""
         progressed = False
         while True:
             data = conn.rx.try_pop()
@@ -1583,32 +1152,12 @@ class ShmTransport(Transport):
                     conn, ConnectionResetError("malformed frame")
                 )
                 return True
-            if isinstance(frame, (Request, SegRequest)):
-                self._executor.submit(self._serve_request, conn, frame)
-            elif isinstance(frame, (Reply, SegReply)):
-                waiter = conn.pending.get(frame.exchange_id)
-                # A late reply to an exchange that already timed out
-                # and completed via retransmission is simply dropped.
-                if waiter is not None:
-                    waiter.resolve(frame)
-            elif isinstance(frame, Ping):
-                conn.try_write(encode_frame(Pong(frame.token)))
-            elif isinstance(frame, Pong):
-                waiter = conn.pings.pop(frame.token, None)
-                if waiter is not None:
-                    waiter.resolve(frame)
-            elif isinstance(frame, SegAck):
+            if isinstance(frame, SegAck):
                 if self._allocator is not None:
                     self._allocator.release(
                         frame.offset - _EXTENT_HEADER, frame.extent
                     )
-            elif isinstance(frame, Goodbye):
-                self._drop_conn(
-                    conn,
-                    ConnectionResetError(
-                        f"peer said goodbye: {frame.reason}"
-                    ),
-                )
+            elif not self._dispatch(conn, frame):
                 return True
 
     # -- segment mapping ------------------------------------------------------
@@ -1657,18 +1206,12 @@ class ShmTransport(Transport):
         return mv
 
     def _map_extent(
-        self,
-        conn: _Connection,
-        src: str,
-        kind: str,
-        segment: str,
-        offset: int,
-        length: int,
-        extent: int,
-        epoch: int,
+        self, conn: _Connection, src: str, kind: str, frame
     ) -> Tuple[memoryview, SegmentLease]:
-        """Validate and map one extent; records the handover event."""
-        mv = self._validate_extent(segment, offset, extent, epoch)
+        """Validate and map one SEG frame's extent; records the
+        handover event."""
+        segment, offset, length = frame.segment, frame.offset, frame.length
+        mv = self._validate_extent(segment, offset, frame.extent, frame.epoch)
         stored = _U32.unpack_from(mv, offset - 8)[0]
         if stored != length:
             raise TransportError(
@@ -1676,9 +1219,7 @@ class ShmTransport(Transport):
                 f"vs expected {length}"
             )
         view = mv[offset : offset + length]
-        lease = SegmentLease(
-            self, conn, segment, offset, extent, epoch, view
-        )
+        lease = SegmentLease(self, conn, frame, view)
         self.handovers += 1
         if self.stats.tracing:
             data = {
@@ -1688,8 +1229,8 @@ class ShmTransport(Transport):
                 "segment": segment,
                 "offset": offset,
                 "length": length,
-                "extent": extent,
-                "epoch": epoch,
+                "extent": frame.extent,
+                "epoch": frame.epoch,
                 # The live epoch word, re-read at mapping time: rule
                 # SRPC330 checks it against the frame's epoch offline.
                 "segment_epoch": _U64.unpack_from(mv, _D_EPOCH)[0],
@@ -1703,150 +1244,3 @@ class ShmTransport(Transport):
                 data=data,
             )
         return view, lease
-
-    # -- server side ----------------------------------------------------------
-
-    def _serve_request(
-        self, conn: _Connection, request: Union[Request, SegRequest]
-    ) -> None:
-        """Run (or replay) one exchange and push its reply frame."""
-        key = (request.src, request.exchange_id)
-        cache = self.endpoint.reply_cache
-        encoded: Optional[bytes] = None
-        while True:
-            with self._serve_lock:
-                encoded = cache.get(key)
-                if encoded is not None:
-                    break
-                gate = self._inflight.get(key)
-                if gate is None:
-                    self._inflight[key] = threading.Event()
-                    break
-            # A retransmission arrived while the first transmission's
-            # handler is still running: wait for that one result.
-            gate.wait(HANDSHAKE_TIMEOUT)
-        if encoded is None:
-            try:
-                encoded = self._execute(conn, request)
-                with self._serve_lock:
-                    cache.put(key, encoded)
-            finally:
-                with self._serve_lock:
-                    gate = self._inflight.pop(key, None)
-                if gate is not None:
-                    gate.set()
-        if encoded is None:  # pragma: no cover - crash path only
-            return
-        if self._faults is not None and (
-            self._faults.reply_action() == FaultInjector.DROP
-        ):
-            self.stats.record_event(
-                self.clock.now,
-                "loss",
-                f"injected drop of reply {self.site_id}->{request.src}",
-                data={"site": self.site_id},
-            )
-            return
-        # The peer will retransmit and hit the reply cache if this
-        # push fails (ring full, connection torn down).
-        conn.try_write(encoded, timeout=1.0)
-
-    def _execute(
-        self, conn: _Connection, request: Union[Request, SegRequest]
-    ) -> bytes:
-        """Dispatch one request to its handler on this worker thread."""
-        lease: Optional[SegmentLease] = None
-        try:
-            kind = MessageKind(request.kind)
-            if self._faults is not None and (
-                self._faults.crash_on_receive(kind)
-            ):
-                # Planned death: the frame arrived but this process
-                # dies before its handler can run.
-                os._exit(FaultInjector.CRASH_EXIT_CODE)
-            # Observe the sender's piggybacked clock before the handler
-            # runs, so every event the handler records happens-after
-            # everything the sender did up to this exchange.
-            self.endpoint.vclock.merge(dict(request.clock))
-            if isinstance(request, SegRequest):
-                payload, lease = self._map_extent(
-                    conn, request.src, request.kind, request.segment,
-                    request.offset, request.length, request.extent,
-                    request.epoch,
-                )
-            else:
-                payload = request.payload
-            message = Message(
-                src=request.src,
-                dst=request.dst,
-                kind=kind,
-                payload=payload,
-                carrier_ref=lease,
-            )
-            body = self.endpoint.handle(message)
-            if lease is not None and not lease.retained:
-                # The handler is done with the view: re-check for a
-                # tear, then hand the extent back to its owner.
-                lease.validate()
-                lease.release()
-            if not request.expects_reply and body:
-                raise TransportError(
-                    f"one-way {kind} message produced a reply"
-                )
-            reply = self._build_reply(
-                request, STATUS_OK, body, request.src
-            )
-        except Exception as exc:  # noqa: BLE001 - ship transport errors
-            if lease is not None and not lease.retained:
-                lease.release()
-            reply = encode_frame(Reply(
-                request.exchange_id,
-                STATUS_HANDLER_ERROR,
-                f"{type(exc).__name__}: {exc}".encode("utf-8"),
-                clock=clock_to_wire(self.endpoint.vclock.tick()),
-            ))
-        return reply
-
-    def _build_reply(
-        self,
-        request: Union[Request, SegRequest],
-        status: int,
-        body: Union[bytes, SegmentPayload],
-        peer: str,
-    ) -> bytes:
-        """Encode the reply, spilling large bodies to the data segment."""
-        clock = clock_to_wire(self.endpoint.vclock.tick())
-        spill: Optional[SegmentPayload] = None
-        if isinstance(body, SegmentPayload):
-            spill = body
-        elif len(body) > self.spill_threshold and self._allocator:
-            spill = self.reserve_payload(len(body))
-            spill.view[:] = body
-        if spill is not None and self._allocator is not None:
-            if not spill.published:
-                self._allocator.publish(spill.offset)
-                spill.published = True
-            # Re-route the pin to the requester so a dead peer's
-            # unacked reply extent is reaped with its connection.
-            with self._allocator._lock:
-                entry = self._allocator._pins.get(spill.offset)
-                if entry is not None:
-                    entry[3] = peer
-            return encode_frame(SegReply(
-                exchange_id=request.exchange_id,
-                status=status,
-                segment=self._allocator.name,
-                offset=spill.offset + _EXTENT_HEADER,
-                length=spill.length,
-                extent=spill.stamp,
-                epoch=self._allocator.epoch,
-                clock=clock,
-            ))
-        return encode_frame(Reply(
-            request.exchange_id, status, bytes(body), clock=clock
-        ))
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"ShmTransport({self.site_id!r}, address={self.address!r})"
-        )

@@ -34,7 +34,7 @@ def test_misses_do_not_count_as_hits():
     assert cache.get("absent") is None
     cache.put("k", b"v")
     assert cache.get("k") == b"v"
-    assert cache.hits == 1
+    assert cache.retransmission_hits == 1
 
 
 def test_put_evicts_least_recently_used_only():

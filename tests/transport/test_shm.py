@@ -1,10 +1,10 @@
-"""ShmTransport behaviour: rings, segment extents, leases, reliability.
+"""ShmTransport behaviour: rings, segment extents, leases, reaping.
 
-The exchange-level tests mirror ``test_tcp.py`` one for one — the shm
-carrier implements the same contract — and then add what is unique to
+The exchange contract the shm link shares with TCP runs over both
+carriers in ``test_exchange.py``; this file covers what is unique to
 shared memory: extent handovers for bulk payloads, the stamp/epoch
-validation protocol, zero-copy send buffers, deferred reply acks and
-stale-segment reaping.
+validation protocol, zero-copy send buffers, deferred reply acks,
+stale-segment reaping and the resource-tracker bookkeeping.
 
 All tests run several transports inside one interpreter; the rings are
 genuinely shared memory, so the cross-process protocol is exercised in
@@ -14,7 +14,9 @@ the crash matrix).
 
 import os
 import struct
+import threading
 import time
+from multiprocessing import resource_tracker
 
 import pytest
 
@@ -28,13 +30,10 @@ from repro.transport.shm import (
     ShmTransport,
     _EXTENT_HEADER,
     _Ring,
-    _SLOT_HEADER,
+    _attach_segment,
+    _close_segment,
+    _create_segment,
     purge_stale_segments,
-)
-from repro.transport.tcp import (
-    FaultInjector,
-    HandshakeError,
-    RemoteHandlerError,
 )
 
 FAST_RETRY = RetryPolicy(
@@ -204,170 +203,6 @@ def _echo_server(stacks, site_id="B", **kwargs):
         MessageKind.CALL, lambda m: b"echo:" + m.payload
     )
     return server
-
-
-# -- exchange contract (mirrors test_tcp.py) ----------------------------------
-
-
-def test_basic_exchange(stacks):
-    _echo_server(stacks)
-    client = stacks("A")
-    reply = client.endpoint.send(
-        "B", MessageKind.CALL, b"hi", reply_kind=MessageKind.REPLY
-    )
-    assert reply == b"echo:hi"
-
-
-def test_one_way_message(stacks):
-    server = stacks("B")
-    seen = []
-    server.endpoint.register_handler(
-        MessageKind.INVALIDATE, lambda m: seen.append(m.payload) or b""
-    )
-    client = stacks("A")
-    assert client.endpoint.send("B", MessageKind.INVALIDATE, b"x") == b""
-    assert seen == [b"x"]
-
-
-def test_connection_pool_reuses_one_dial(stacks):
-    _echo_server(stacks)
-    client = stacks("A")
-    for index in range(10):
-        client.endpoint.send(
-            "B",
-            MessageKind.CALL,
-            str(index).encode(),
-            reply_kind=MessageKind.REPLY,
-        )
-    assert client.dials["B"] == 1
-
-
-def test_handshake_version_mismatch_refused(stacks):
-    _echo_server(stacks)
-    rogue = stacks("R", protocol_version=99)
-    with pytest.raises(HandshakeError) as excinfo:
-        rogue.endpoint.send(
-            "B", MessageKind.CALL, b"hi", reply_kind=MessageKind.REPLY
-        )
-    assert "version" in str(excinfo.value)
-
-
-def test_dropped_request_is_retransmitted(stacks):
-    _echo_server(stacks)
-    client = stacks("A", faults=FaultInjector(drop_requests={1}))
-    reply = client.endpoint.send(
-        "B", MessageKind.CALL, b"hi", reply_kind=MessageKind.REPLY
-    )
-    assert reply == b"echo:hi"
-    assert client.retransmissions == 1
-
-
-def test_duplicated_request_executes_once(stacks):
-    server = stacks("B")
-    calls = []
-    server.endpoint.register_handler(
-        MessageKind.CALL,
-        lambda m: calls.append(m.payload) or str(len(calls)).encode(),
-    )
-    client = stacks("A", faults=FaultInjector(duplicate_requests={1}))
-    reply = client.endpoint.send(
-        "B", MessageKind.CALL, b"hi", reply_kind=MessageKind.REPLY
-    )
-    assert reply == b"1"
-    assert calls == [b"hi"]
-
-
-def test_dropped_reply_served_from_cache(stacks):
-    server = stacks("B", faults=FaultInjector(drop_replies={1}))
-    calls = []
-    server.endpoint.register_handler(
-        MessageKind.CALL,
-        lambda m: calls.append(m.payload) or str(len(calls)).encode(),
-    )
-    client = stacks("A")
-    reply = client.endpoint.send(
-        "B", MessageKind.CALL, b"hi", reply_kind=MessageKind.REPLY
-    )
-    assert reply == b"1"
-    assert calls == [b"hi"]
-    assert client.retransmissions >= 1
-    assert server.endpoint.reply_cache.hits >= 1
-
-
-def test_retry_exhaustion_raises(stacks):
-    _echo_server(stacks)
-    client = stacks(
-        "A",
-        faults=FaultInjector(drop_requests={1, 2}),
-        retry=RetryPolicy(timeout=0.1, max_attempts=2),
-    )
-    with pytest.raises(TransportError):
-        client.endpoint.send(
-            "B", MessageKind.CALL, b"hi", reply_kind=MessageKind.REPLY
-        )
-
-
-def test_unknown_destination_raises(stacks):
-    client = stacks("A")
-    with pytest.raises(TransportError):
-        client.endpoint.send(
-            "nowhere", MessageKind.CALL, b"", reply_kind=MessageKind.REPLY
-        )
-
-
-def test_remote_handler_exception_propagates(stacks):
-    server = stacks("B")
-
-    def explode(message):
-        raise RuntimeError("kaboom")
-
-    server.endpoint.register_handler(MessageKind.CALL, explode)
-    client = stacks("A")
-    with pytest.raises(RemoteHandlerError) as excinfo:
-        client.endpoint.send(
-            "B", MessageKind.CALL, b"", reply_kind=MessageKind.REPLY
-        )
-    assert "kaboom" in str(excinfo.value)
-
-
-def test_nested_exchange_back_to_blocked_caller(stacks):
-    """B's handler calls back into A while A is blocked on B — the
-    shape of every fault-driven data request."""
-    a = stacks("A")
-    b = stacks("B")
-    a.endpoint.register_handler(
-        MessageKind.DATA_REQUEST, lambda m: b"data:" + m.payload
-    )
-
-    def relay(message):
-        inner = b.endpoint.send(
-            "A",
-            MessageKind.DATA_REQUEST,
-            message.payload,
-            reply_kind=MessageKind.DATA_REPLY,
-        )
-        return b"relay:" + inner
-
-    b.endpoint.register_handler(MessageKind.CALL, relay)
-    reply = a.endpoint.send(
-        "B", MessageKind.CALL, b"x", reply_kind=MessageKind.REPLY
-    )
-    assert reply == b"relay:data:x"
-
-
-def test_ping_measures_round_trip(stacks):
-    _echo_server(stacks)
-    client = stacks("A")
-    assert client.ping("B") > 0.0
-
-
-def test_send_before_start_raises():
-    transport = ShmTransport("A")
-    try:
-        with pytest.raises(TransportError):
-            transport.exchange("B", MessageKind.CALL, b"", None)
-    finally:
-        transport.close()
 
 
 # -- segment handover (what shm adds) -----------------------------------------
@@ -581,3 +416,53 @@ def test_close_unlinks_every_segment():
         entry for entry in os.listdir(SHM_DIR) if entry.startswith(name)
     ]
     assert leftovers == []
+
+
+# -- resource-tracker bookkeeping ---------------------------------------------
+
+
+def test_interleaved_create_and_attach_keep_the_tracker_balanced(
+    monkeypatch,
+):
+    """A dialer's create and a poller's attach of one segment in one
+    process must not interleave as REGISTER, REGISTER, UNREGISTER,
+    UNREGISTER: the tracker keeps names in a set, so the second
+    UNREGISTER would find nothing (the tracker process then prints a
+    ``KeyError`` traceback)."""
+    tracked = set()
+    unbalanced = []
+    registered = threading.Event()
+
+    def register(name, rtype):
+        tracked.add(name)
+        registered.set()
+        # Widen the window between this REGISTER and its UNREGISTER.
+        time.sleep(0.2)
+
+    def unregister(name, rtype):
+        try:
+            tracked.remove(name)
+        except KeyError:
+            unbalanced.append(name)
+
+    monkeypatch.setattr(resource_tracker, "register", register)
+    monkeypatch.setattr(resource_tracker, "unregister", unregister)
+    name = "srpc-race-" + os.urandom(4).hex()
+    segments = []
+
+    def attach():
+        assert registered.wait(5)
+        segments.append(_attach_segment(name))
+
+    attacher = threading.Thread(target=attach)
+    attacher.start()
+    created = _create_segment(name, 4096)
+    attacher.join(5)
+    try:
+        assert len(segments) == 1
+        assert unbalanced == []
+        assert tracked == set()
+    finally:
+        for segment in segments:
+            _close_segment(segment)
+        _close_segment(created, unlink=True)
